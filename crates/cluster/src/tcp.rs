@@ -26,6 +26,15 @@
 //! [`TcpTransport::io_stats`] reports the resulting flush and byte counts,
 //! from which `bytes / flush` falls out directly.
 //!
+//! Reads are coalesced to match: each connection's reader thread drains
+//! its socket through a [`READ_BUF`]-byte `BufReader`, so one `read`
+//! syscall pulls in everything a peer's `write_all` sent and every frame
+//! after the first is sliced out of user-space memory (an unbuffered
+//! stream costs two syscalls per frame: header, then payload). Each
+//! payload is still copied out into its own sized [`wire::FramePool`]
+//! buffer before zero-copy decoding, so a long-lived decoded key or value
+//! pins only its own frame, never the read buffer.
+//!
 //! Local delivery applies the plane's backpressure policy: hosted
 //! mailboxes are bounded, protocol traffic blocks at a full one, and a
 //! client `Msg::Submit` is shed — bounced back to its `reply_to` as a
@@ -35,7 +44,7 @@
 //! [`listen`]: TcpTransport::listen
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,6 +58,10 @@ use crate::node::Packet;
 use crate::plane::{MailboxSender, TrySendError};
 use crate::transport::{Envelope, Transport};
 use crate::wire;
+
+/// Per-connection receive buffer: large enough that one `read` takes in
+/// a whole coalesced peer write (typically a few KiB of frames).
+pub const READ_BUF: usize = 64 * 1024;
 
 /// A write handle to one connection, shared by everyone routing to it.
 type Conn = Arc<Mutex<TcpStream>>;
@@ -243,11 +256,14 @@ impl TcpInner {
     }
 
     /// Decode frames off one connection until EOF, delivering locally and
-    /// learning reply routes. Frames are read into pooled `Arc<[u8]>`
-    /// buffers and decoded zero-copy: payload fields (keys, byte values)
-    /// borrow views of the receive buffer instead of allocating, and the
+    /// learning reply routes. The socket is drained through a
+    /// [`READ_BUF`]-byte buffer (one syscall per peer write, not two per
+    /// frame); each payload is copied into a pooled `Arc<[u8]>` frame
+    /// buffer and decoded zero-copy: payload fields (keys, byte values)
+    /// borrow views of the frame buffer instead of allocating, and the
     /// buffer returns to the pool once every view of it is dropped.
-    fn read_loop(inner: &Arc<TcpInner>, mut stream: TcpStream, conn: Conn) {
+    fn read_loop(inner: &Arc<TcpInner>, stream: TcpStream, conn: Conn) {
+        let mut stream = BufReader::with_capacity(READ_BUF, stream);
         let mut pool = wire::FramePool::new();
         loop {
             match wire::read_frame_pooled(&mut stream, &mut pool) {

@@ -51,7 +51,8 @@ pub struct TimerWheel<T> {
     slots: Vec<Vec<u32>>,
     /// Deadlines at least one rotation out, keyed `(due_us, seq, idx)`.
     overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// The next tick `advance` has not yet processed.
+    /// The first tick the next `advance` scans: the tick of the last
+    /// `advance` (it may still hold entries due later in that tick).
     cursor: u64,
     tick_us: u64,
     seq: u64,
@@ -183,7 +184,10 @@ impl<T> TimerWheel<T> {
                 }
                 self.slots[slot].truncate(kept);
             }
-            self.cursor = target + 1;
+            // Stay on the current tick, not past it: its slot may still
+            // hold an entry due later in this tick (armed less than a tick
+            // ahead), which would otherwise wait a full rotation.
+            self.cursor = target;
         }
         while let Some(&Reverse((at_us, seq, idx))) = self.overflow.peek() {
             if at_us > now.as_micros() {
@@ -304,6 +308,22 @@ mod tests {
         assert_eq!(wheel.next_deadline(), Some(us(5_000)));
         wheel.advance(us(6_000), |_, v| fired.push(v));
         assert_eq!(fired, vec!["quick", "backstop"]);
+        assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn sub_tick_timer_fires_within_its_tick() {
+        // Armed half a tick ahead, inside the tick the cursor has just
+        // scanned: it must fire as soon as its deadline passes, not one
+        // rotation (4 x 100us) later.
+        let mut wheel: TimerWheel<&str> = TimerWheel::new(4, 100);
+        let mut fired = Vec::new();
+        wheel.advance(us(1_010), |_, v| fired.push(v));
+        wheel.insert(us(1_060), "half-tick");
+        wheel.advance(us(1_040), |_, v| fired.push(v));
+        assert!(fired.is_empty(), "not yet due");
+        wheel.advance(us(1_061), |_, v| fired.push(v));
+        assert_eq!(fired, vec!["half-tick"]);
         assert!(wheel.is_empty());
     }
 

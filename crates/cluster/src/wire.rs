@@ -1090,7 +1090,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Envelope>> {
 
 /// Read one length-prefixed frame into a pooled shared buffer and decode
 /// it zero-copy ([`decode_shared`]): one buffer (re)use per frame, no
-/// per-field allocation. Returns `Ok(None)` on clean EOF.
+/// per-field allocation. Returns `Ok(None)` on clean EOF. It reads the
+/// header and the payload separately, so give it a buffered reader (the
+/// TCP transport wraps each socket in a `BufReader`), not a raw socket.
 pub fn read_frame_pooled(r: &mut impl Read, pool: &mut FramePool) -> io::Result<Option<Envelope>> {
     let mut header = [0u8; 4];
     let mut filled = 0;
@@ -1685,6 +1687,45 @@ mod tests {
             .expect("third frame");
         assert_eq!(format!("{env:?}"), format!("{third:?}"));
         assert_eq!(pool.slots.len(), 2, "recycled, not grown");
+    }
+
+    /// Through the TCP reader's 64 KiB `BufReader`, a decoded value is
+    /// backed by a frame-sized pool allocation, never the read buffer: a
+    /// long-lived value pins its own frame's bytes and nothing more.
+    #[test]
+    fn buffered_read_pins_only_the_frame_allocation() {
+        let env = envelope(Msg::Apply {
+            key: Key::new("k"),
+            version: 1,
+            value: Value::bytes(&b"long-lived value"[..]),
+            txn: TxnId::new(0, 1),
+        });
+        let mut stream = Vec::new();
+        for _ in 0..4 {
+            write_frame(&mut stream, &env).unwrap();
+        }
+        let mut reader =
+            std::io::BufReader::with_capacity(crate::tcp::READ_BUF, std::io::Cursor::new(stream));
+        let mut pool = FramePool::new();
+        let got = read_frame_pooled(&mut reader, &mut pool)
+            .unwrap()
+            .expect("frame");
+        // One read pulled every frame into the reader's buffer ...
+        assert_eq!(reader.buffer().len(), 3 * (4 + encoded_len(&env)));
+        let Msg::Apply {
+            value: Value::Bytes(value),
+            ..
+        } = &got.msg
+        else {
+            panic!("decoded {got:?}");
+        };
+        // ... but the value lives in the pool's frame buffer, which is
+        // exactly the payload's length and pinned by the decoded views.
+        assert_eq!(pool.slots.len(), 1);
+        let frame = &pool.slots[0];
+        assert_eq!(frame.len(), encoded_len(&env), "sized to its frame");
+        assert!(Arc::strong_count(frame) > 1, "pinned by the decoded views");
+        assert!(frame.as_ptr_range().contains(&value.as_slice().as_ptr()));
     }
 
     #[test]

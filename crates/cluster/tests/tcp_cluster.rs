@@ -6,13 +6,19 @@
 //! format, exactly what `planet-load` speaks — connects to site 0, submits
 //! a transaction and reads its progress and outcome off the same
 //! connection, exercising the learned-reply-route path.
+//!
+//! A second test bursts 1 000 frames down one connection in one write and
+//! checks the buffered receive path delivers every one, in order.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use planet_cluster::wire;
-use planet_cluster::{mailbox, spawn_node, Clock, Envelope, PlaneConfig, TcpTransport, Transport};
+use planet_cluster::{
+    mailbox, spawn_node, Clock, Envelope, Packet, PlaneConfig, TcpTransport, Transport,
+};
 use planet_mdcc::{ClusterConfig, CoordinatorActor, Msg, Outcome, Protocol, ReplicaActor, TxnSpec};
 use planet_sim::{Actor, ActorId, SiteId};
 use planet_storage::{Key, WriteOp};
@@ -127,4 +133,54 @@ fn commit_round_trips_over_tcp() {
     for t in &transports {
         t.stop();
     }
+}
+
+#[test]
+fn a_single_write_burst_arrives_complete_and_in_order() {
+    const FRAMES: u64 = 1_000;
+    let transport = TcpTransport::new();
+    let addr = transport
+        .listen("127.0.0.1:0".parse().unwrap())
+        .expect("bind");
+    let target = ActorId(7);
+    // Smaller than the burst: the reader must block on the full mailbox
+    // (protocol traffic is never shed) while this thread drains it.
+    let (tx, rx) = mailbox(64);
+    transport.host(target.0, tx);
+
+    let mut burst = Vec::new();
+    for tag in 0..FRAMES {
+        wire::encode_frame_into(
+            &Envelope {
+                from: ActorId(100),
+                to: target,
+                msg: Msg::ClientTimer { kind: 1, tag },
+            },
+            &mut burst,
+        );
+    }
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.write_all(&burst).expect("one write of every frame");
+
+    for expected in 0..FRAMES {
+        let packet = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("frame {expected} never arrived: {e:?}"));
+        let Packet::Env(env) = packet else {
+            panic!("frame {expected}: not an envelope");
+        };
+        assert_eq!((env.from, env.to), (ActorId(100), target));
+        match env.msg {
+            Msg::ClientTimer { kind: 1, tag } => assert_eq!(tag, expected, "per-pair FIFO"),
+            other => panic!("frame {expected}: unexpected {other:?}"),
+        }
+    }
+    assert!(
+        rx.recv_timeout(Duration::from_millis(50)).is_err(),
+        "nothing beyond the burst"
+    );
+    assert_eq!(transport.dropped(), 0);
+    assert_eq!(transport.shed(), 0);
+    drop(conn);
+    transport.stop();
 }

@@ -9,12 +9,22 @@
 //!    asserts a round-tripped sample exists for every declared variant — so
 //!    listing a variant without actually round-tripping it also fails, by
 //!    name.
+//!
+//! The chunking tests then drive the TCP receive path's exact reader stack
+//! (`BufReader` of `tcp::READ_BUF` bytes + `read_frame_pooled`) over
+//! sources that hand bytes out one at a time or in random-sized chunks.
 
+use std::io::{self, BufReader, Read};
+
+use planet_cluster::tcp::READ_BUF;
 use planet_cluster::transport::Envelope;
-use planet_cluster::wire::{decode, encode, read_frame, write_frame};
+use planet_cluster::wire::{
+    decode, encode, encode_frame_into, encoded_len, read_frame, read_frame_pooled, write_frame,
+    FramePool,
+};
 use planet_mdcc::{KeyRead, Msg, Outcome, ProgressStage, ReadLevel, TxnSpec, TxnStats};
 use planet_plan::{KeyRef, KeyTemplate, OpTemplate, PlanParam, TxnProgram};
-use planet_sim::{ActorId, SimTime, SiteId};
+use planet_sim::{ActorId, DetRng, SimTime, SiteId};
 use planet_storage::{Key, RecordOption, RejectReason, TxnId, Value, WriteOp};
 
 fn variant_name(msg: &Msg) -> &'static str {
@@ -360,5 +370,134 @@ fn samples_cover_every_declared_variant() {
             "Msg::{variant} is declared in messages.rs but has no round-trip \
              sample in wire_roundtrip.rs — add one (and codec arms if missing)"
         );
+    }
+}
+
+/// A byte source that hands out at most `chunk()` bytes per `read`: the
+/// short reads a socket may return at any point of a frame.
+struct Chunked<F: FnMut() -> usize> {
+    data: Vec<u8>,
+    pos: usize,
+    chunk: F,
+}
+
+impl<F: FnMut() -> usize> Read for Chunked<F> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let n = (self.chunk)()
+            .min(out.len())
+            .min(self.data.len() - self.pos);
+        out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+fn chunked(data: &[u8], chunk: impl FnMut() -> usize + 'static) -> Box<dyn Read> {
+    Box::new(Chunked {
+        data: data.to_vec(),
+        pos: 0,
+        chunk,
+    })
+}
+
+/// The chunkings every stream is read under: whole (as much as asked),
+/// one byte per call, and seeded random chunk sizes up to 3 KiB.
+fn chunkings(data: &[u8]) -> Vec<(&'static str, Box<dyn Read>)> {
+    let mut rng = DetRng::new(0x5eed);
+    vec![
+        ("whole", chunked(data, || usize::MAX)),
+        ("1-byte", chunked(data, || 1)),
+        (
+            "random",
+            chunked(data, move || rng.range_u64(1, 3 * 1024) as usize),
+        ),
+    ]
+}
+
+fn frames(envs: &[Envelope]) -> Vec<u8> {
+    let mut stream = Vec::new();
+    for env in envs {
+        encode_frame_into(env, &mut stream);
+    }
+    stream
+}
+
+/// An `Apply` whose value is `len` bytes long.
+fn apply_with_value(len: usize) -> Envelope {
+    envelope(Msg::Apply {
+        key: Key::new("pad"),
+        version: 1,
+        value: Value::bytes(vec![0xAB; len]),
+        txn: TxnId::new(0, 1),
+    })
+}
+
+/// An `Apply` whose whole frame (header included) is `frame_len` bytes.
+fn apply_with_frame_len(frame_len: usize) -> Envelope {
+    let overhead = 4 + encoded_len(&apply_with_value(0));
+    let env = apply_with_value(frame_len - overhead);
+    assert_eq!(4 + encoded_len(&env), frame_len);
+    env
+}
+
+/// Read `envs` back through the buffered pooled reader under every
+/// chunking, ending on a clean EOF.
+fn assert_reads_back(envs: &[Envelope]) {
+    let stream = frames(envs);
+    for (how, source) in chunkings(&stream) {
+        let mut reader = BufReader::with_capacity(READ_BUF, source);
+        let mut pool = FramePool::new();
+        for (i, env) in envs.iter().enumerate() {
+            let got = read_frame_pooled(&mut reader, &mut pool)
+                .unwrap_or_else(|e| panic!("{how}: frame {i}: {e}"))
+                .unwrap_or_else(|| panic!("{how}: premature EOF before frame {i}"));
+            assert_eq!(format!("{env:?}"), format!("{got:?}"), "{how}: frame {i}");
+        }
+        let end = read_frame_pooled(&mut reader, &mut pool).expect("clean EOF");
+        assert!(end.is_none(), "{how}: clean EOF between frames");
+    }
+}
+
+#[test]
+fn frames_straddling_the_read_buffer_boundary_decode() {
+    let mixed: Vec<Envelope> = samples().into_iter().map(envelope).collect();
+    // A leading pad ends `before` bytes short of the first refill
+    // boundary: 2 puts the next header across it, 10 its payload.
+    for before in [2, 10] {
+        let mut envs = vec![apply_with_frame_len(READ_BUF - before)];
+        envs.extend(mixed.iter().cloned());
+        assert_reads_back(&envs);
+    }
+}
+
+#[test]
+fn a_frame_larger_than_the_read_buffer_decodes() {
+    let mixed: Vec<Envelope> = samples().into_iter().map(envelope).collect();
+    let mut envs = mixed.clone();
+    envs.push(apply_with_value(200 * 1024));
+    envs.extend(mixed);
+    assert!(encoded_len(&envs[envs.len() / 2]) > READ_BUF);
+    assert_reads_back(&envs);
+}
+
+#[test]
+fn eof_inside_a_frame_is_unexpected() {
+    let envs: Vec<Envelope> = samples().into_iter().map(envelope).collect();
+    let stream = frames(&envs[..2]);
+    let first = 4 + encoded_len(&envs[0]);
+    // Cut two bytes into the second frame's header, then two bytes into
+    // its payload.
+    for cut in [first + 2, first + 6] {
+        for (how, source) in chunkings(&stream[..cut]) {
+            let mut reader = BufReader::with_capacity(READ_BUF, source);
+            let mut pool = FramePool::new();
+            let got = read_frame_pooled(&mut reader, &mut pool)
+                .expect("first frame")
+                .expect("first frame present");
+            assert_eq!(format!("{:?}", envs[0]), format!("{got:?}"), "{how}");
+            let err = read_frame_pooled(&mut reader, &mut pool)
+                .expect_err("truncated frame must not decode");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{how}: cut {cut}");
+        }
     }
 }
